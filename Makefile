@@ -59,7 +59,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'Sharded' ./internal/sim
 
 chaos:
 	./scripts/chaos_smoke.sh

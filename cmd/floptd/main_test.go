@@ -39,9 +39,11 @@ func TestRunFlagValidation(t *testing.T) {
 			}
 		})
 	}
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-nope"}, &out, &errOut); code != 2 {
-		t.Errorf("bad flag: run = %d, want 2", code)
+	for _, args := range [][]string{{"-nope"}, {"-sim-workers", "2"}} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("unknown flag %v: run = %d, want 2", args, code)
+		}
 	}
 }
 

@@ -77,14 +77,6 @@ type Machine struct {
 	// prefetches counts readahead fills performed.
 	prefetches int64
 
-	// workers is the intra-cell shard count requested via SetWorkers;
-	// values ≤ 1 select the serial engine. The sharded engine additionally
-	// falls back to serial when the run is ineligible (see newShardedRun).
-	workers int
-	// shardStats carries the last sharded run's diagnostics into
-	// finishMetrics; nil after a serial run.
-	shardStats *shardStats
-
 	// faults is the resolved fault schedule; nil on a healthy platform.
 	faults *fault.Schedule
 	// rng drives the transient-error stream. serve runs serially inside
@@ -122,14 +114,6 @@ type Machine struct {
 func (m *Machine) SetFileBlocks(blocks []int64) {
 	m.fileBlocks = append([]int64(nil), blocks...)
 }
-
-// SetWorkers sets the intra-cell shard count for subsequent runs: the
-// simulation itself is partitioned by I/O and storage node across up to n
-// concurrent workers (capped by the platform's node counts). n ≤ 1 — the
-// default — runs the serial engine. Reports are byte-identical at every
-// worker count; see sharded.go for the epoch scheduler and its
-// determinism argument.
-func (m *Machine) SetWorkers(n int) { m.workers = n }
 
 // NewMachine builds the platform. For the "karma" policy, hints must be
 // supplied (see GenerateHints); other policies ignore them.
@@ -259,9 +243,6 @@ func (m *Machine) finishMetrics(rep *Report) {
 		ctr.Add(c.val - ctr.Value())
 	}
 	reg.Gauge("exec_time_us").Set(float64(rep.ExecTimeUS))
-	if m.shardStats != nil {
-		m.shardStats.publish(reg)
-	}
 	rep.Metrics = m.metrics.Snapshot()
 }
 

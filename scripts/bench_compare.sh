@@ -8,12 +8,12 @@
 # BENCH_TOLERANCE for dedicated runners.
 #
 # Usage: scripts/bench_compare.sh [extra go test args…]
-#   BENCH_SECTION=intra_cell_parallel  which BENCH_harness.json entry to diff
+#   BENCH_SECTION=serial_engine_only   which BENCH_harness.json entry to diff
 #   BENCH_TOLERANCE=1.30               allowed fresh/recorded ratio
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-section=${BENCH_SECTION:-intra_cell_parallel}
+section=${BENCH_SECTION:-serial_engine_only}
 tolerance=${BENCH_TOLERANCE:-1.30}
 
 fresh=$(./scripts/bench_harness.sh "$@")
